@@ -81,8 +81,7 @@ double stack_mops(moir::bench::Harness& h, const std::string& name, S& s,
 template <typename S>
 double queue_mops(moir::bench::Harness& h, const std::string& name, S& s,
                   std::uint64_t ops_each) {
-  auto init_ctx = s.make_ctx();
-  moir::MsQueue<S> q(s, 512, init_ctx);
+  moir::MsQueue<S> q(s, 512);
   auto ctxs = make_ctxs(s, kThreads);
   auto rngs = make_rngs(kThreads, 0);
   const auto& run = h.run_ops("queue/" + name, kThreads, ops_each,

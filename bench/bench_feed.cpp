@@ -259,8 +259,8 @@ int main(int argc, char** argv) {
   std::uint64_t violations = 0;
   violations +=
       fanout_table(h, "fig4", [] { return moir::CasBackedLlsc<16>(); });
-  // Pid budget for the tag substrates: sessions x queue ctxs + worker and
-  // router map ctxs per service lifetime, never returned — sized with
+  // Pid budget for the tag substrates: session and worker dispatcher ctxs
+  // plus worker map ctxs per service lifetime, never returned — sized with
   // slack for one service each.
   violations +=
       fanout_table(h, "fig7", [] { return moir::BoundedLlsc<>(32, /*k=*/3); });

@@ -1,14 +1,14 @@
 // E13 (service pipeline): the wait-free KV request pipeline (src/svc/) —
-// SPSC client rings -> router -> per-shard MS-queues (the paper's LL/SC +
-// SMR on the serving hot path) -> batching executors over the sharded map.
+// SPSC client rings -> workers that route them -> per-shard MS-queues (the
+// paper's LL/SC on the serving hot path, nodes recycled in place) ->
+// batching executors over the sharded map.
 //
 // Sweeps:
 //   * executor batch size B in {1,4,16,64} x substrate (fig4 CAS-backed vs
 //     fig7 bounded-tag) at 8 closed-loop clients — batching amortizes the
-//     queue's reclaimer bracket and the shard rotor, so B=16 should beat
-//     B=1;
+//     shard rotor and the per-pass routing scan, so B=16 should beat B=1;
 //   * closed-loop client scaling {1,2,4,8} at B=16;
-//   * ingress mode: full ring+router pipeline vs clients enqueueing into
+//   * ingress mode: full ring pipeline vs clients enqueueing into
 //     the shard queues directly (one hop shorter, one contention point
 //     more);
 //   * dispatch-queue count {1,4} at 8 clients (the MPMC bottleneck);
@@ -75,9 +75,11 @@ typename Svc::Config svc_config(unsigned clients, unsigned batch,
 }
 
 // Substrate process-slot budget for one run: BoundedLlsc pids are leased
-// per ThreadCtx and never returned, so size for the lifetime total — each
-// session and the router hold one queue-ctx per dispatch queue, each
-// worker additionally a map ctx, plus the preloader and slack.
+// per ThreadCtx and never returned, so size for the lifetime total. Each
+// direct-mode session and each worker hold one dispatcher ctx, each worker
+// additionally map ctxs, plus the preloader and slack; the per-queue terms
+// over-provision (they keep the domain size, and so the fig7 numbers,
+// comparable across runs).
 unsigned fig7_processes(unsigned clients, unsigned queues) {
   return clients * queues + 3 * (queues + 1) + 8;
 }
@@ -303,9 +305,9 @@ int main(int argc, char** argv) {
       "E13: wait-free KV request pipeline — batch size x substrate, client "
       "scaling, ring vs direct ingress, open-loop Poisson latency",
       "a request pipeline built entirely from the paper's primitives (LL/SC "
-      "MS-queues + SMR + sharded map) serves closed- and open-loop traffic, "
+      "MS-queues + sharded map) serves closed- and open-loop traffic, "
       "sheds under overload instead of blocking, and batching amortizes the "
-      "per-pop reclaimer bracket");
+      "per-pass queue and routing work");
 
   // Batch-size sweep at 8 closed-loop clients, both substrates.
   for (const unsigned batch : {1u, 4u, 16u, 64u}) {
@@ -386,7 +388,7 @@ int main(int argc, char** argv) {
   {
     moir::Table t("pipeline shape, 4 clients, B=16 (Mops/s)");
     t.columns({"config", "Mops/s"});
-    t.row({"rings+router", moir::Table::num(mops_of("ingress/rings/t4"), 3)});
+    t.row({"rings", moir::Table::num(mops_of("ingress/rings/t4"), 3)});
     t.row({"direct dispatch",
            moir::Table::num(mops_of("ingress/direct/t4"), 3)});
     h.table(t);

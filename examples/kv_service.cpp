@@ -1,5 +1,5 @@
 // Minimal KV service session: four client threads drive mixed traffic
-// through the full wait-free pipeline (SPSC ring -> router -> LL/SC
+// through the full wait-free pipeline (SPSC ring -> routing worker -> LL/SC
 // MS-queues -> batching executors -> sharded map), then the tail latency
 // comes out of the stats layer's svc_latency histogram. Part 2 runs the
 // same teller workload on both transaction engines (mcas and tl2)

@@ -54,9 +54,8 @@ constexpr unsigned kThreads = 3;  // one per stage
 
 int main() {
   Substrate substrate;
-  auto init_ctx = substrate.make_ctx();
-  moir::MsQueue<Substrate> stage1(substrate, 256, init_ctx);
-  moir::MsQueue<Substrate> stage2(substrate, 256, init_ctx);
+  moir::MsQueue<Substrate> stage1(substrate, 256);
+  moir::MsQueue<Substrate> stage2(substrate, 256);
 
   moir::WideLlsc<32> stats_dom(kThreads + 1,
                                Stats::required_width(kThreads + 1));

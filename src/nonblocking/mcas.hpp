@@ -14,8 +14,10 @@
 // is stable for the transaction's entire lifetime including stragglers.
 // The STM's descriptor-quiescence protocol gives exactly that lifetime: a
 // process's next transaction begins only after all helpers of its previous
-// one have drained. So each process owns one Spec slot here, rewritten
-// only between its own transactions, and `arg` carries a pointer to it.
+// one have drained. So each process owns one Spec slot here, and `arg`
+// carries a pointer to it. The slot is rewritten inside transact()'s
+// prepare step — after that drain, not before transact() is called: a
+// straggling helper of the previous MCAS may still be reading it.
 //
 // An MCAS whose comparison fails still COMMITS as a transaction — it just
 // writes back the old values (a no-op). The boolean MCAS result is derived
@@ -76,18 +78,22 @@ class Mcas {
     MOIR_ASSERT(expected.size() == n && desired.size() == n);
     MOIR_ASSERT(witnessed.empty() || witnessed.size() == n);
 
-    Spec& spec = *specs_[ctx.pid];
     for (unsigned i = 0; i < n; ++i) {
       MOIR_ASSERT(expected[i] <= kMaxValue && desired[i] <= kMaxValue);
-      spec.expected[i] = expected[i];
-      spec.desired[i] = desired[i];
     }
+    Spec& spec = *specs_[ctx.pid];
+    const auto write_spec = [&] {
+      for (unsigned i = 0; i < n; ++i) {
+        spec.expected[i] = expected[i];
+        spec.desired[i] = desired[i];
+      }
+    };
 
-    Stm::TxResult result;
     // transact() retries only on STM-level conflicts; each attempt
     // re-reads the cells, so the comparison always uses fresh values.
-    result = stm_.transact(ctx, addrs, &apply_spec,
-                           reinterpret_cast<std::uint64_t>(&spec));
+    const Stm::TxResult result =
+        stm_.transact(ctx, addrs, &apply_spec,
+                      reinterpret_cast<std::uint64_t>(&spec), write_spec);
     bool match = true;
     for (unsigned i = 0; i < n; ++i) {
       if (!witnessed.empty()) witnessed[i] = result.olds[i];
@@ -106,13 +112,14 @@ class Mcas {
     MOIR_ASSERT(n >= 1 && n <= kMaxWords && desired.size() == n);
     MOIR_ASSERT(olds.empty() || olds.size() == n);
 
+    for (unsigned i = 0; i < n; ++i) MOIR_ASSERT(desired[i] <= kMaxValue);
     Spec& spec = *specs_[ctx.pid];
-    for (unsigned i = 0; i < n; ++i) {
-      MOIR_ASSERT(desired[i] <= kMaxValue);
-      spec.desired[i] = desired[i];
-    }
-    const auto result = stm_.transact(ctx, addrs, &apply_put,
-                                      reinterpret_cast<std::uint64_t>(&spec));
+    const auto write_spec = [&] {
+      for (unsigned i = 0; i < n; ++i) spec.desired[i] = desired[i];
+    };
+    const auto result =
+        stm_.transact(ctx, addrs, &apply_put,
+                      reinterpret_cast<std::uint64_t>(&spec), write_spec);
     for (unsigned i = 0; i < n && !olds.empty(); ++i) {
       olds[i] = result.olds[i];
     }

@@ -36,9 +36,9 @@ class MsQueue {
   using ThreadCtx = typename S::ThreadCtx;
 
   // Capacity is the number of pool nodes; one is permanently consumed as
-  // the dummy, so at most capacity-1 values can be queued. `init_ctx` seeds
-  // the free list and dummy (see TreiberStack for why it is a parameter).
-  MsQueue(S& substrate, std::uint32_t capacity, ThreadCtx& init_ctx)
+  // the dummy, so at most capacity-1 values can be queued — exactly, since
+  // a dequeued dummy is back on the free list before dequeue returns.
+  MsQueue(S& substrate, std::uint32_t capacity)
       : substrate_(substrate),
         capacity_(capacity),
         null_(capacity),
@@ -52,10 +52,11 @@ class MsQueue {
     for (std::uint32_t i = 0; i < capacity; ++i) {
       substrate_.init_var(next_[i], null_);
     }
-    // Node 0 is the initial dummy; the rest seed the free list.
+    // Node 0 is the initial dummy; the rest seed the free list with plain
+    // stores (the queue is not shared yet, so no LL/SC push per node).
     substrate_.init_var(head_, 0);
     substrate_.init_var(tail_, 0);
-    for (std::uint32_t i = 1; i < capacity; ++i) free_.push(init_ctx, i);
+    free_.seed(1, capacity);
   }
 
   // Returns false when the node pool is exhausted.
@@ -135,6 +136,19 @@ class MsQueue {
       substrate_.cl(ctx, kt);
       substrate_.cl(ctx, kn);
     }
+  }
+
+  // Pops up to `max` values into `out`; returns the number popped (0 =
+  // empty). In-place recycling has no reclaimer bracket to amortize, so
+  // this is a plain loop over dequeue().
+  unsigned dequeue_batch(ThreadCtx& ctx, std::uint64_t* out, unsigned max) {
+    unsigned n = 0;
+    while (n < max) {
+      const auto v = dequeue(ctx);
+      if (!v) break;
+      out[n++] = *v;
+    }
+    return n;
   }
 
   bool empty() const {

@@ -87,13 +87,24 @@ class Stm {
     std::uint64_t olds[kMaxTxCells] = {};
   };
 
+  struct NoPrepare {
+    void operator()() const {}
+  };
+
   // Runs the transaction to commitment, retrying aborted attempts.
-  // `addrs` must be sorted, duplicate-free cell indices.
+  // `addrs` must be sorted, duplicate-free cell indices. `prepare` runs at
+  // the start of every attempt, after the helpers of this process's
+  // previous incarnation have drained and before the new one is
+  // published: the only window in which state that `op` reads through
+  // `arg` may be rewritten (a straggling helper of the previous
+  // transaction may read it until then).
+  template <class Prepare = NoPrepare>
   TxResult transact(ThreadCtx& ctx, std::span<const std::uint32_t> addrs,
-                    TxOp op, std::uint64_t arg) {
+                    TxOp op, std::uint64_t arg,
+                    const Prepare& prepare = {}) {
     TxResult result;
     SpinWait backoff;
-    while (!try_transact(ctx, addrs, op, arg, result)) {
+    while (!try_transact(ctx, addrs, op, arg, result, prepare)) {
       ++result.aborts;
       MOIR_YIELD_POINT();
       // An abort means a conflicting transaction won the cells: back off
@@ -107,8 +118,10 @@ class Stm {
   }
 
   // Single attempt; returns false on abort (a concurrent conflict).
+  template <class Prepare = NoPrepare>
   bool try_transact(ThreadCtx& ctx, std::span<const std::uint32_t> addrs,
-                    TxOp op, std::uint64_t arg, TxResult& result) {
+                    TxOp op, std::uint64_t arg, TxResult& result,
+                    const Prepare& prepare = {}) {
     MOIR_ASSERT(addrs.size() >= 1 && addrs.size() <= kMaxTxCells);
     for (std::size_t i = 0; i + 1 < addrs.size(); ++i) {
       MOIR_ASSERT_MSG(addrs[i] < addrs[i + 1],
@@ -127,6 +140,7 @@ class Stm {
       MOIR_YIELD_POINT();
       std::this_thread::yield();
     }
+    prepare();
     // Reset the descriptor for this incarnation. Safe: no helper is
     // registered and none can register for the old seq anymore.
     d.n.store(static_cast<std::uint32_t>(addrs.size()),

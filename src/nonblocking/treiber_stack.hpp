@@ -80,6 +80,18 @@ class IndexStack {
 
   bool empty() const { return substrate_.read(head_) == null_; }
 
+  // Construction-time only, on an empty stack nobody else can see yet:
+  // chains nodes [first, end), first < end, with plain stores so they pop
+  // in ascending order. One init_var instead of one LL/SC push per node.
+  void seed(std::uint32_t first, std::uint32_t end) {
+    for (std::uint32_t i = first; i + 1 < end; ++i) {
+      links_[i].store(i + 1, std::memory_order_relaxed);
+    }
+    links_[end - 1].store(static_cast<std::uint32_t>(null_),
+                          std::memory_order_relaxed);
+    substrate_.init_var(head_, first);
+  }
+
  private:
   S& substrate_;
   typename S::Var head_;

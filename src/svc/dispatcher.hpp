@@ -1,13 +1,17 @@
 // Request/ticket types and the sharded MPMC dispatch stage.
 //
 // The dispatch queue is the paper's own machinery on the serving hot path:
-// each shard queue is a ReclaimedMsQueue — the Michael–Scott queue spelled
-// in LL/VL/SC over any SmallLlscSubstrate (Figure 4 CAS-backed, Figure 7
-// bounded-tag, ...) with nodes recycled through a PR-3 Reclaimer. The
-// queue carries only a 64-bit ticket HANDLE (session << 32 | slot); the
-// request payload itself lives in the session's fixed TicketSlot array, so
-// payload size never collides with the substrate's bounded value field
-// (only node indices must fit ValBits; the payload word is unconstrained).
+// each shard queue is an MsQueue — the Michael–Scott queue spelled in
+// LL/VL/SC over any SmallLlscSubstrate (Figure 4 CAS-backed, Figure 7
+// bounded-tag, ...) with its nodes recycled IN PLACE, no reclaimer. A
+// dequeued dummy is back on the free list before dequeue returns, so a
+// pool runs out only when capacity-1 handles really are queued: no
+// preempted dequeuer can pin retired nodes and freeze the queue
+// (docs/ALGORITHMS.md, "Why the dispatcher recycles in place"). The queue
+// carries only a 64-bit ticket HANDLE (session << 32 | slot); the request
+// payload itself lives in the session's fixed TicketSlot array, so payload
+// size never collides with the substrate's bounded value field (only node
+// indices must fit ValBits; the payload word is unconstrained).
 //
 // Ticket completion is a seqlock-style generation handshake, not a lock:
 // the executor writes the response fields with plain stores and then
@@ -27,7 +31,6 @@
 #include "map/sharded_map.hpp"  // hash_mix64
 #include "nonblocking/ms_queue.hpp"
 #include "platform/yield_point.hpp"
-#include "reclaim/reclaimer.hpp"
 #include "stats/stats.hpp"
 #include "util/cache.hpp"
 
@@ -63,7 +66,7 @@ enum class Status : std::uint8_t {
               // kInsert on a present key, kMultiCas comparison mismatch:
               // the "false/absent" return
   kOverload,  // completed WITH an error before reaching the map: shard
-              // queue full at the router, or a txn key's node pool
+              // queue full when routed, or a txn key's node pool
               // exhausted (either way the request had no effect — EBUSY)
 };
 
@@ -116,23 +119,22 @@ inline std::uint32_t handle_slot(std::uint64_t h) {
 // Sharded MPMC dispatch stage: routes a key to one of `queues` MS-queues
 // (same SplitMix64 route as the map's shard_of, so with equal counts a
 // dispatch queue feeds exactly one map shard) and pops handles in batches.
-template <SmallLlscSubstrate S, reclaim::Reclaimer R>
+template <SmallLlscSubstrate S>
 class Dispatcher {
  public:
-  using Queue = ReclaimedMsQueue<S, R>;
+  using Queue = MsQueue<S>;
+  // One substrate context serves every shard queue. Destroy before the
+  // dispatcher.
+  using ThreadCtx = typename Queue::ThreadCtx;
 
-  // A thread's contexts, one per shard queue (each queue owns its own
-  // reclaimer instance). Destroy before the dispatcher.
-  struct ThreadCtx {
-    std::vector<typename Queue::ThreadCtx> q;
-  };
-
-  Dispatcher(S& substrate, unsigned max_threads, unsigned queues,
-             std::uint32_t queue_capacity) {
+  // The thread-count argument is unused (in-place recycling keeps no
+  // per-thread state); it is kept so existing callers compile unchanged.
+  Dispatcher(S& substrate, unsigned /*max_threads*/, unsigned queues,
+             std::uint32_t queue_capacity)
+      : substrate_(substrate) {
     queues_.reserve(queues);
     for (unsigned i = 0; i < queues; ++i) {
-      queues_.push_back(
-          std::make_unique<Queue>(substrate, max_threads, queue_capacity));
+      queues_.push_back(std::make_unique<Queue>(substrate, queue_capacity));
     }
   }
 
@@ -140,12 +142,7 @@ class Dispatcher {
     return static_cast<unsigned>(queues_.size());
   }
 
-  ThreadCtx make_ctx() {
-    ThreadCtx ctx;
-    ctx.q.reserve(queues_.size());
-    for (auto& q : queues_) ctx.q.push_back(q->make_ctx());
-    return ctx;
-  }
+  ThreadCtx make_ctx() { return substrate_.make_ctx(); }
 
   unsigned queue_of(std::uint64_t key) const {
     return static_cast<unsigned>((hash_mix64(key) >> 32) % queues_.size());
@@ -154,15 +151,14 @@ class Dispatcher {
   // Returns false when the target shard queue's node pool is exhausted
   // (the shed signal — never blocks).
   bool enqueue(ThreadCtx& ctx, std::uint64_t key, std::uint64_t handle) {
-    const unsigned q = queue_of(key);
-    return queues_[q]->enqueue(ctx.q[q], handle);
+    return queues_[queue_of(key)]->enqueue(ctx, handle);
   }
 
-  // Pops up to `max` handles from shard queue `q` under one reclaimer
-  // bracket. Returns the number popped.
+  // Pops up to `max` handles from shard queue `q`. Returns the number
+  // popped.
   unsigned pop_batch(ThreadCtx& ctx, unsigned q, std::uint64_t* out,
                      unsigned max) {
-    return queues_[q]->dequeue_batch(ctx.q[q], out, max);
+    return queues_[q]->dequeue_batch(ctx, out, max);
   }
 
   bool all_empty() const {
@@ -172,9 +168,8 @@ class Dispatcher {
     return true;
   }
 
-  Queue& queue(unsigned i) { return *queues_[i]; }
-
  private:
+  S& substrate_;
   std::vector<std::unique_ptr<Queue>> queues_;
 };
 

@@ -1,24 +1,31 @@
 // KvService: the wait-free request pipeline over the sharded map.
 //
-//   client --(SPSC ring, 1 per session)--> router --+
-//   client --------(direct dispatch)----------------+--> per-shard MPMC
-//                                                        MS-queues (LL/SC
-//                                                        + Reclaimer)
-//                                                   workers pop batches of
-//                                                   <= B, execute on the
-//                                                   ShardedHashMap, publish
-//                                                   seqlock responses the
-//                                                   clients poll
+//   client --(SPSC ring, 1 per session)--+
+//                                        | workers route: try-claim the
+//                                        | session, move its ring
+//                                        v
+//   client --(direct dispatch)-----> per-shard MPMC MS-queues (LL/SC,
+//                                    nodes recycled in place)
+//                                        |
+//                                        v
+//                                    workers pop batches of <= B, execute
+//                                    on the ShardedHashMap, publish seqlock
+//                                    responses the clients poll
+//
+// There is no router thread: every worker pass is route() then pump().
 //
 // End-to-end progress argument (docs/SERVICE.md has the long form): no
 // stage ever waits for another stage inside an operation. Admission either
 // takes a free ticket or returns EBUSY (shed) immediately; ring push either
-// succeeds or sheds; the router either enqueues or completes the ticket
-// with kOverload; queue and map operations are lock-free through the
-// paper's LL/SC; response publication is a single release store. The only
-// waiting in the subsystem is *voluntary* (wait() spinning on a ticket the
-// caller chose to block on, idle workers between pumps), through the
-// futex-free SpinWait.
+// succeeds or sheds; routing either enqueues or completes the ticket with
+// kOverload; queue and map operations are lock-free through the paper's
+// LL/SC; response publication is a single release store. The session claim
+// is only ever try-acquired: a worker that loses it moves on, so a claim
+// holder preempted mid-route stalls only that one session's ring — the
+// same degradation the feed-mode queue claim accepts — and every other
+// session and queue keeps moving. The only waiting in the subsystem is
+// *voluntary* (wait() spinning on a ticket the caller chose to block on,
+// idle workers between passes), through the futex-free SpinWait.
 //
 // Sessions reuse the ProcessRegistry slot discipline: connect() leases a
 // dense session id whose preallocated SessionState (ticket slots + ring)
@@ -26,10 +33,11 @@
 // slot across reuse, so a stale done word can never match a fresh ticket.
 //
 // Shutdown contract: stop() flips draining (subsequent submits shed), then
-// drains rings and queues so every ALREADY-SUBMITTED ticket completes
-// (counted as svc_drain), then joins. Callers must stop submitting before
-// calling stop() concurrently with in-flight submits — the graceful-drain
-// guarantee covers requests, not racing admission calls.
+// lets the workers finish: a worker exits only once every ring and every
+// shard queue is empty, so every ALREADY-SUBMITTED ticket completes
+// (counted as svc_drain) before the joins return. Callers must stop
+// submitting before calling stop() concurrently with in-flight submits —
+// the graceful-drain guarantee covers requests, not racing admission calls.
 #pragma once
 
 #include <algorithm>
@@ -57,6 +65,7 @@
 #include "tl2/tl2_txn.hpp"
 #include "txn/txn_kv.hpp"
 #include "util/assertion.hpp"
+#include "util/cache.hpp"
 #include "util/stopwatch.hpp"
 
 namespace moir::svc {
@@ -73,12 +82,16 @@ enum class TxnEngine : std::uint8_t { kMcas, kTl2, kGlstm };
 // RingCap: per-session SPSC ring capacity (compile-time power of two).
 // FeedRingCap: per-shard broadcast-ring capacity in feed mode (tiny in the
 // adversarial exploration tests, 64 for real deployments).
+// SkipRingClaim is a PLANTED BUG for the negative-control tests: route()
+// skips the session claim, so two routing workers can both consume one
+// SPSC ring. Never set it outside those tests.
 template <SmallLlscSubstrate S, reclaim::Reclaimer R,
-          std::uint32_t RingCap = 64, std::uint32_t FeedRingCap = 64>
+          std::uint32_t RingCap = 64, std::uint32_t FeedRingCap = 64,
+          bool SkipRingClaim = false>
 class KvService {
  public:
   using Map = ShardedHashMap<S, R>;
-  using Disp = Dispatcher<S, R>;
+  using Disp = Dispatcher<S>;
   using Txn = txn::TxnKv<S, R>;
   using Tl2 = tl2::Tl2Kv<S, R>;
   using Glstm = tl2::GlstmKv<S, R>;
@@ -110,8 +123,9 @@ class KvService {
     unsigned batch = 16;                 // B: max requests per executor pop
     unsigned max_sessions = 8;           // concurrent clients
     std::uint32_t tickets_per_session = 64;  // in-flight window W
-    // Ingress mode: true = client -> ring -> router -> shard queue (the
-    // full pipeline), false = client enqueues into the shard queue itself.
+    // Ingress mode: true = client -> ring -> routing worker -> shard queue
+    // (the full pipeline), false = client enqueues into the shard queue
+    // itself.
     bool use_rings = true;
     // Transaction mode: values live in the txn layer's per-node Mcas
     // cells (insert-only map discipline) and the kMulti* ops are
@@ -175,7 +189,8 @@ class KvService {
     unsigned sid_ = 0;
   };
 
-  // Executor-side contexts; one per worker (or per manual pumper).
+  // Executor-side contexts; one per worker (or per manual pumper). dctx
+  // serves both routing (shard-queue enqueue) and the queue pops.
   struct WorkerCtx {
     typename Disp::ThreadCtx dctx;
     typename Map::ThreadCtx mctx;
@@ -192,13 +207,14 @@ class KvService {
   explicit KvService(S& substrate, Config cfg = {})
       : cfg_(cfg),
         worker_ceiling_(std::max(cfg.workers, cfg.max_workers)),
-        // Concurrent ThreadCtx holders across the shard-queue reclaimers
-        // and the map reclaimer: one per session, one per worker at the
-        // elastic ceiling, the router, and slack for a manual pumper /
-        // preloader. The ceiling term is doubled: a retiring worker still
-        // holds its ctx while its replacement may already be spinning up.
-        // Txn mode doubles the worker/pumper terms again (WorkerCtx
-        // carries both a plain map ctx and the txn ctx's embedded one).
+        // Concurrent ThreadCtx holders of the map reclaimer: one per
+        // session (client threads may read the map out of band through
+        // make_map_ctx), one per worker at the elastic ceiling, and slack
+        // for a manual pumper / preloader. The ceiling term is doubled: a
+        // retiring worker still holds its ctx while its replacement may
+        // already be spinning up. Txn mode doubles the worker/pumper terms
+        // again (WorkerCtx carries both a plain map ctx and the txn ctx's
+        // embedded one).
         max_threads_(cfg.max_sessions + (cfg.txn ? 4 * worker_ceiling_ + 4
                                                  : 2 * worker_ceiling_ + 2)),
         disp_(substrate, max_threads_, cfg.queues, cfg.queue_capacity),
@@ -242,9 +258,6 @@ class KvService {
       sessions_.push_back(std::make_unique<SessionState>(cfg_));
     }
     if (cfg_.workers > 0) {
-      if (cfg_.use_rings) {
-        router_ = std::thread([this] { router_main(); });
-      }
       std::lock_guard<std::mutex> g(pool_mu_);
       threads_.reserve(worker_ceiling_);
       for (unsigned w = 0; w < cfg_.workers; ++w) {
@@ -270,8 +283,9 @@ class KvService {
     for (std::uint32_t i = cfg_.tickets_per_session; i > 0; --i) {
       ss.free.push_back(i - 1);
     }
-    ss.dctx = disp_.make_ctx();
-    ss.live.store(true, std::memory_order_release);
+    if (!cfg_.use_rings) {
+      ss.dctx = std::make_unique<typename Disp::ThreadCtx>(disp_.make_ctx());
+    }
     return ClientCtx(this, sid);
   }
 
@@ -295,7 +309,7 @@ class KvService {
     ts.submit_ns = stats::counting_enabled() ? clock_.elapsed_ns() : 0;
     const std::uint64_t handle = make_handle(c.sid_, slot);
     const bool ok = cfg_.use_rings ? ss.ring.try_push(handle)
-                                   : disp_.enqueue(ss.dctx, key, handle);
+                                   : disp_.enqueue(*ss.dctx, key, handle);
     if (!ok) {
       // The slot was never published; the gen bump is harmless and the
       // ticket stays free.
@@ -345,7 +359,7 @@ class KvService {
     ts.submit_ns = stats::counting_enabled() ? clock_.elapsed_ns() : 0;
     const std::uint64_t handle = make_handle(c.sid_, slot);
     const bool ok = cfg_.use_rings ? ss.ring.try_push(handle)
-                                   : disp_.enqueue(ss.dctx, ts.key, handle);
+                                   : disp_.enqueue(*ss.dctx, ts.key, handle);
     if (!ok) {
       stats::count(stats::Id::kSvcShed);
       return std::nullopt;
@@ -488,8 +502,6 @@ class KvService {
     return w;
   }
 
-  typename Disp::ThreadCtx make_router_ctx() { return disp_.make_ctx(); }
-
   // Instrumentation: the slot behind a handle. Race-free only where the
   // completion handshake already orders the reads — inside a pump
   // observer (after execution, before publication), where test harnesses
@@ -498,9 +510,9 @@ class KvService {
     return sessions_[handle_session(handle)]->slots[handle_slot(handle)];
   }
 
-  // One pass over the shard queues: pops up to B handles per queue under a
-  // single reclaimer bracket each, executes them against the map, and
-  // publishes responses. Returns requests completed. `obs(handle,
+  // One pass over the shard queues (the second half of every worker pass,
+  // after route()): pops up to B handles per queue, executes them against
+  // the map, and publishes responses. Returns requests completed. `obs(handle,
   // response)` fires after the map operation and before the publication —
   // the test harness's completion timestamp hook.
   //
@@ -509,11 +521,12 @@ class KvService {
   // execution exclusive without blocking — a worker that loses the race
   // just moves to the next queue (the holder is executing the very batch
   // the loser wanted, so system-wide progress is unchanged; a parked
-  // holder stalls only its own queue, the same degradation the SPSC
-  // router already accepts). The release/acquire pair on the claim word
-  // also carries the happens-before edge that hands the ring's writer
-  // role — and the feed-op subscription cursors, which ride the same
-  // key-hashed routing — from one worker to the next.
+  // holder stalls only its own queue, the same degradation a parked
+  // session-claim holder causes its session in route()). The
+  // release/acquire pair on the claim word also carries the happens-before
+  // edge that hands the ring's writer role — and the feed-op subscription
+  // cursors, which ride the same key-hashed routing — from one worker to
+  // the next.
   template <class Observer>
   unsigned pump(WorkerCtx& w, Observer&& obs) {
     unsigned total = 0;
@@ -538,13 +551,38 @@ class KvService {
     return pump(w, [](std::uint64_t, const Response&) {});
   }
 
-  // Route one session's ring into the shard queues. The ring is SPSC —
-  // its consumer must be unique, which the service's own router thread
-  // guarantees; manual pumpers (tests with cfg.workers == 0) must likewise
-  // dedicate one pumper per session. A full shard queue completes the
-  // ticket with kOverload right here — shedding, not blocking, so a
-  // stalled executor cannot wedge the router. At most one ring's capacity
-  // is moved per call.
+  // One routing pass (the first half of every worker pass): for each
+  // session whose ring holds requests, TRY-claim the session and move its
+  // ring into the shard queues with pump_session. The claim makes the
+  // claimant the ring's single consumer, so the SPSC discipline and
+  // per-session FIFO hold with any number of routing workers; it is never
+  // waited for — a worker that loses the race moves to the next session
+  // (the holder is moving the very requests the loser wanted). Returns
+  // handles moved (enqueued or completed kOverload).
+  template <class Observer>
+  unsigned route(WorkerCtx& w, Observer&& obs) {
+    if (!cfg_.use_rings) return 0;
+    unsigned moved = 0;
+    for (unsigned sid = 0; sid < cfg_.max_sessions; ++sid) {
+      SessionState& ss = *sessions_[sid];
+      if (ss.ring.empty_approx() || !claim_session(ss)) continue;
+      moved += pump_session(w.dctx, sid, obs);
+      release_session(ss);
+    }
+    return moved;
+  }
+
+  unsigned route(WorkerCtx& w) {
+    return route(w, [](std::uint64_t, const Response&) {});
+  }
+
+  // Move one session's ring into the shard queues. The ring is SPSC: the
+  // caller must be its unique consumer — route() holds the session claim
+  // for exactly this; a manual pumper (tests with cfg.workers == 0) that
+  // calls this directly must be the only thread consuming that session. A
+  // full shard queue completes the ticket with kOverload right here —
+  // shedding, not blocking, so a stalled executor cannot wedge routing. At
+  // most one ring's capacity is moved per call.
   template <class Observer>
   unsigned pump_session(typename Disp::ThreadCtx& rc, unsigned sid,
                         Observer&& obs) {
@@ -566,21 +604,6 @@ class KvService {
 
   unsigned pump_session(typename Disp::ThreadCtx& rc, unsigned sid) {
     return pump_session(rc, sid, [](std::uint64_t, const Response&) {});
-  }
-
-  // One pass over all live session rings (the router thread's loop body).
-  template <class Observer>
-  unsigned pump_router(typename Disp::ThreadCtx& rc, Observer&& obs) {
-    unsigned moved = 0;
-    for (unsigned sid = 0; sid < cfg_.max_sessions; ++sid) {
-      if (!sessions_[sid]->live.load(std::memory_order_acquire)) continue;
-      moved += pump_session(rc, sid, obs);
-    }
-    return moved;
-  }
-
-  unsigned pump_router(typename Disp::ThreadCtx& rc) {
-    return pump_router(rc, [](std::uint64_t, const Response&) {});
   }
 
   bool queues_empty() const { return disp_.all_empty(); }
@@ -631,8 +654,6 @@ class KvService {
     if (stopped_) return;
     stopped_ = true;
     draining_.store(true, std::memory_order_release);
-    stop_router_.store(true, std::memory_order_release);
-    if (router_.joinable()) router_.join();
     stop_workers_.store(true, std::memory_order_release);
     {
       // Barrier against in-flight growth: any spawn_worker() that slipped
@@ -674,23 +695,27 @@ class KvService {
     std::unique_ptr<TicketSlot[]> slots;
     Ring ring;
     std::vector<std::uint32_t> free;  // client-thread-private ticket stack
-    typename Disp::ThreadCtx dctx;    // client-thread-only (direct mode)
-    std::atomic<bool> live{false};
+    // Client-thread-only, direct mode only. Held by pointer: some
+    // substrates' contexts are neither default-constructible nor
+    // move-assignable, and a session slot is reconnected many times.
+    std::unique_ptr<typename Disp::ThreadCtx> dctx;
+    // Routing claim (route()): its holder is the ring's one consumer. On
+    // its own line — workers contend on it, the client never touches it.
+    Padded<std::atomic<bool>> claim;
   };
 
   void disconnect(unsigned sid) {
     SessionState& ss = *sessions_[sid];
     MOIR_ASSERT_MSG(ss.free.size() == cfg_.tickets_per_session,
                     "disconnect with in-flight or unconsumed tickets");
-    ss.live.store(false, std::memory_order_release);
-    ss.dctx = typename Disp::ThreadCtx{};  // fold queue reclaimer state
+    ss.dctx.reset();
     session_reg_.release_process(sid);
   }
 
   // Map a txn-layer status onto the wire Status. kNoSpace (node pool
   // exhausted before any cell was written) is an EBUSY-class outcome: the
   // request completed WITH an error and had no effect, same contract as a
-  // router-side shed.
+  // routing-side shed.
   static Status to_status(txn::TxnStatus s) {
     switch (s) {
       case txn::TxnStatus::kOk:
@@ -936,6 +961,11 @@ class KvService {
   // worker above the floor means the pool is overprovisioned, so it
   // retires. Decisions are local — no coordinator thread — and the floor
   // workers never retire, so the drain guarantee of stop() is unchanged.
+  //
+  // Each pass routes the session rings, then drains the shard queues. A
+  // worker exits only when stopping AND every ring and queue is empty. A
+  // handle a peer has popped from a ring but not yet enqueued is invisible
+  // to that test, but the peer itself cannot exit before executing it.
   void worker_main() {
     const unsigned wid = worker_reg_.join();
     {
@@ -944,22 +974,22 @@ class KvService {
       unsigned full_streak = 0;
       std::uint64_t idle_streak = 0;
       for (;;) {
+        const unsigned moved = route(w);
         const unsigned done = pump(w);
-        if (done > 0) {
+        if (done >= cfg_.batch) {
+          if (++full_streak >= cfg_.grow_streak) {
+            full_streak = 0;
+            spawn_worker();
+          }
+        } else {
+          full_streak = 0;
+        }
+        if (moved + done > 0) {
           sw.reset();
           idle_streak = 0;
-          if (done >= cfg_.batch) {
-            if (++full_streak >= cfg_.grow_streak) {
-              full_streak = 0;
-              spawn_worker();
-            }
-          } else {
-            full_streak = 0;
-          }
           continue;
         }
-        full_streak = 0;
-        if (stop_workers_.load(std::memory_order_acquire) &&
+        if (stop_workers_.load(std::memory_order_acquire) && rings_empty() &&
             disp_.all_empty()) {
           std::lock_guard<std::mutex> g(pool_mu_);
           --live_workers_;
@@ -1040,29 +1070,36 @@ class KvService {
     queue_claims_[q].store(false, std::memory_order_release);
   }
 
-  void router_main() {
-    auto rc = disp_.make_ctx();
-    SpinWait sw;
-    for (;;) {
-      if (pump_router(rc) > 0) {
-        sw.reset();
-        continue;
-      }
-      // stop_router_ is set after draining_, so once it is visible no new
-      // ring entries can appear (submits shed) and an empty pass is final.
-      if (stop_router_.load(std::memory_order_acquire)) break;
-      sw.pause();
+  // Session routing claim, the same try-claim shape as claim_queue: the
+  // acquire on the winning exchange pairs with the previous holder's
+  // release, ordering its ring pops (and the ring's consumer-private index
+  // cache) before ours.
+  bool claim_session(SessionState& ss) {
+    if constexpr (SkipRingClaim) return true;
+    MOIR_YIELD_UPDATE(&ss.claim.value);
+    return !ss.claim->exchange(true, std::memory_order_acquire);
+  }
+
+  void release_session(SessionState& ss) {
+    if constexpr (SkipRingClaim) return;
+    MOIR_YIELD_WRITE(&ss.claim.value);
+    ss.claim->store(false, std::memory_order_release);
+  }
+
+  bool rings_empty() const {
+    for (const auto& ss : sessions_) {
+      if (!ss->ring.empty_approx()) return false;
     }
+    return true;
   }
 
   const Config cfg_;
   const unsigned worker_ceiling_;
   const unsigned max_threads_;
   Stopwatch clock_;  // latency origin for the svc_latency histogram
-  // Declaration order is destruction-critical: sessions_ (whose dctx folds
-  // into the queue reclaimers) must die before disp_, and every ThreadCtx
-  // (worker ctxs die at thread exit, before the joins in stop()) before
-  // disp_/map_.
+  // Declaration order is destruction-critical: every ThreadCtx (worker
+  // ctxs die at thread exit, before the joins in stop()) must die before
+  // map_, whose reclaimer they lease.
   Disp disp_;
   Map map_;
   // Declared after map_ (hence destroyed first): the engines hold Map&
@@ -1085,14 +1122,12 @@ class KvService {
   // reg_join/reg_leave counts inside it cannot recurse.
   DynamicRegistry worker_reg_;
   std::vector<std::unique_ptr<SessionState>> sessions_;
-  std::thread router_;
   // Guards live_workers_ and threads_ growth against stop(); workers take
   // it only on scaling decisions, never per request.
   mutable std::mutex pool_mu_;
   unsigned live_workers_ = 0;
   std::vector<std::thread> threads_;
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stop_router_{false};
   std::atomic<bool> stop_workers_{false};
   bool stopped_ = false;
 };

@@ -1,7 +1,9 @@
 // Cache-line-padded fixed-capacity SPSC ring + futex-free waiting.
 //
 // One ring per client session carries request handles from the client
-// (single producer) to the service's router (single consumer). The
+// (single producer) to whichever worker holds the session's routing claim
+// (single consumer at any moment; the claim's release/acquire hands the
+// consumer side, index cache included, from one worker to the next). The
 // single-producer/single-consumer discipline makes the ring wait-free with
 // plain acquire/release atomics: each side owns its index, only reads the
 // other's, and caches the remote index to avoid touching the shared line
@@ -10,8 +12,8 @@
 // LL/SC constructions — no allocation, no unbounded tags).
 //
 // Nothing ever blocks in here: try_push/try_pop fail immediately when
-// full/empty and the caller decides (the service sheds, the router moves
-// to the next session). SpinWait (util/backoff.hpp, re-exported below) is
+// full/empty and the caller decides (the service sheds, a routing worker
+// moves to the next session). SpinWait (util/backoff.hpp, re-exported below) is
 // the one waiting policy the subsystem uses when a caller *chooses* to
 // wait (client wait(), idle workers): bounded exponential spinning with a
 // CPU relax hint, then std::this_thread::yield() — never a futex or mutex,
@@ -50,6 +52,8 @@ class SpscRing {
   // Occupancy estimate: exact for the consumer when the producer is quiet
   // and vice versa, a snapshot otherwise (each index is read once).
   std::uint32_t size() const {
+    MOIR_YIELD_STEP(::moir::testing::StepInfo::read(&tail_.idx)
+                        .also_read(&head_.idx));
     return static_cast<std::uint32_t>(
         tail_.idx.load(std::memory_order_acquire) -
         head_.idx.load(std::memory_order_acquire));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -85,10 +86,13 @@ TEST(LlscFromRllRsc, ConcurrentSequencesOneProcessor) {
   EXPECT_EQ(y.read(), 20u);
 }
 
+// gtest names each case after the parameter's bytes, so the struct must have
+// no padding: uninitialised padding would give a different name per run.
 struct StressParam {
-  int threads;
+  std::int64_t threads;
   double spurious;
 };
+static_assert(sizeof(StressParam) == sizeof(std::int64_t) + sizeof(double));
 
 class LlscFromRllRscStress
     : public ::testing::TestWithParam<StressParam> {};
@@ -101,7 +105,7 @@ TEST_P(LlscFromRllRscStress, SuccessfulScsMatchFinalValue) {
   std::atomic<std::uint64_t> successes{0};
   constexpr int kAttemptsEach = 8000;
   std::vector<std::thread> pool;
-  for (int t = 0; t < param.threads; ++t) {
+  for (std::int64_t t = 0; t < param.threads; ++t) {
     pool.emplace_back([&] {
       Processor p(&faults);
       std::uint64_t local = 0;

@@ -29,7 +29,7 @@ TYPED_TEST_SUITE(QueueTest, Substrates);
 
 TYPED_TEST(QueueTest, FifoOrder) {
   auto ctx = this->substrate_.make_ctx();
-  MsQueue<TypeParam> q(this->substrate_, 16, ctx);
+  MsQueue<TypeParam> q(this->substrate_, 16);
   EXPECT_TRUE(q.empty());
   for (std::uint64_t v : {1, 2, 3}) EXPECT_TRUE(q.enqueue(ctx, v));
   EXPECT_EQ(q.dequeue(ctx), 1u);
@@ -40,7 +40,7 @@ TYPED_TEST(QueueTest, FifoOrder) {
 
 TYPED_TEST(QueueTest, CapacityAndRecycling) {
   auto ctx = this->substrate_.make_ctx();
-  MsQueue<TypeParam> q(this->substrate_, 4, ctx);  // 3 usable + dummy
+  MsQueue<TypeParam> q(this->substrate_, 4);  // 3 usable + dummy
   EXPECT_TRUE(q.enqueue(ctx, 1));
   EXPECT_TRUE(q.enqueue(ctx, 2));
   EXPECT_TRUE(q.enqueue(ctx, 3));
@@ -54,7 +54,7 @@ TYPED_TEST(QueueTest, CapacityAndRecycling) {
 
 TYPED_TEST(QueueTest, HeavyRecyclingSingleThread) {
   auto ctx = this->substrate_.make_ctx();
-  MsQueue<TypeParam> q(this->substrate_, 3, ctx);
+  MsQueue<TypeParam> q(this->substrate_, 3);
   for (std::uint64_t i = 0; i < 10000; ++i) {
     ASSERT_TRUE(q.enqueue(ctx, i & 0xfff));
     ASSERT_TRUE(q.enqueue(ctx, (i + 1) & 0xfff));
@@ -69,8 +69,7 @@ TYPED_TEST(QueueTest, HeavyRecyclingSingleThread) {
 // queue linearizability).
 TYPED_TEST(QueueTest, ConcurrentPerProducerOrder) {
   auto& s = this->substrate_;
-  auto init_ctx = s.make_ctx();
-  MsQueue<TypeParam> q(s, 32, init_ctx);
+  MsQueue<TypeParam> q(s, 32);
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
   constexpr std::uint64_t kPerProducer = 6000;
@@ -131,8 +130,7 @@ TYPED_TEST(QueueTest, ConcurrentPerProducerOrder) {
 TEST(QueueOnBoundedLlsc, ConcurrentConservation) {
   constexpr unsigned kThreads = 4;
   BoundedLlsc<> s(kThreads + 2, 3);
-  auto init_ctx = s.make_ctx();
-  MsQueue<BoundedLlsc<>> q(s, 16, init_ctx);
+  MsQueue<BoundedLlsc<>> q(s, 16);
   std::atomic<std::int64_t> net{0};
 
   run_threads(kThreads, [&](std::size_t tid) {

@@ -1,21 +1,30 @@
 // KvService pipeline: end-to-end round trips through the full
-// ring -> router -> shard-queue -> executor path, shed-on-full admission
-// (window, ring, and queue-pool exhaustion), graceful drain, and
+// ring -> routing worker -> shard-queue -> executor path, shed-on-full
+// admission (window, ring, and queue-pool exhaustion), graceful drain,
 // linearizability of the whole pipeline against SvcSpec under both DFS
-// and PCT controlled schedules.
+// and PCT controlled schedules, the session routing claim (with a planted
+// two-consumer negative control), and the dispatch queue's freedom from
+// pool freezes under a parked dequeuer.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/llsc_traits.hpp"
+#include "nonblocking/ms_queue.hpp"
+#include "platform/yield_point.hpp"
 #include "reclaim/epoch.hpp"
+#include "sim/controlled_scheduler.hpp"
 #include "sim/explore.hpp"
 #include "stats/stats.hpp"
 #include "svc/service.hpp"
+#include "util/backoff.hpp"
 #include "util/env.hpp"
 #include "verify/history.hpp"
 #include "verify/linearizability.hpp"
@@ -154,13 +163,13 @@ TEST(KvService, TicketGenerationReuseAfterDrain) {
   }
 }
 
-// The router's key->queue hash must spread a dense key space evenly:
+// The dispatcher's key->queue hash must spread a dense key space evenly:
 // chi-squared over 1e5 sequential keys into 4 queues, against a cutoff
 // far beyond df=3 noise (p << 1e-4) — catches a route that degenerates
 // to low bits or collapses shards, not ordinary variance.
 TEST(Dispatcher, KeyHashShardDistribution) {
   Sub sub;
-  svc::Dispatcher<Sub, EpochReclaimer> disp(sub, 2, 4, 16);
+  svc::Dispatcher<Sub> disp(sub, 2, 4, 16);
   constexpr unsigned kKeys = 100000;
   std::array<unsigned, 4> counts{};
   for (std::uint64_t k = 0; k < kKeys; ++k) counts[disp.queue_of(k)]++;
@@ -278,7 +287,7 @@ TEST(KvService, ShedOnFullWindow) {
 }
 
 // Ring mode back-pressure: a full ring sheds at submit; a full shard-queue
-// node pool makes the ROUTER complete the ticket with kOverload instead of
+// node pool makes ROUTING complete the ticket with kOverload instead of
 // blocking on the executor.
 TEST(KvService, RingAndQueueOverload) {
   // Ring capacity is a compile-time parameter now; this test wants a tiny
@@ -295,18 +304,17 @@ TEST(KvService, RingAndQueueOverload) {
                  .map = {.shards = 1, .buckets_per_shard = 4,
                          .capacity_per_shard = 32}});
   auto c = svc.connect();
-  auto rc = svc.make_router_ctx();
   auto w = svc.make_worker_ctx();
 
-  // Phase 1: three requests reach the router, but the shard queue has one
-  // free node — the surplus two complete kOverload at the router.
+  // Phase 1: three requests are routed, but the shard queue has one free
+  // node — the surplus two complete kOverload during routing.
   std::vector<Svc4::Ticket> issued;
   for (int i = 0; i < 3; ++i) {
     const auto t = svc.submit(c, Op::kInsert, i, i);
     ASSERT_TRUE(t.has_value());
     issued.push_back(*t);
   }
-  EXPECT_EQ(svc.pump_session(rc, c.session()), 3u);
+  EXPECT_EQ(svc.pump_session(w.dctx, c.session()), 3u);
 
   const auto r1 = svc.poll(c, issued[1]);
   const auto r2 = svc.poll(c, issued[2]);
@@ -321,7 +329,7 @@ TEST(KvService, RingAndQueueOverload) {
   ASSERT_TRUE(r0.has_value());
   EXPECT_EQ(r0->status, Status::kOk);
 
-  // Phase 2: with no router pass, the 4-entry ring itself fills and the
+  // Phase 2: with no routing pass, the 4-entry ring itself fills and the
   // 5th submit sheds at admission.
   issued.clear();
   for (int i = 0; i < 4; ++i) {
@@ -332,9 +340,9 @@ TEST(KvService, RingAndQueueOverload) {
   EXPECT_FALSE(svc.submit(c, Op::kFind, 0).has_value())
       << "full ring must shed, not block";
 
-  // Drain: one router pass completes-or-enqueues everything it pops, so a
+  // Drain: one routing pass completes-or-enqueues everything it pops, so a
   // bounded number of pump passes finishes all four.
-  svc.pump_session(rc, c.session());
+  svc.pump_session(w.dctx, c.session());
   svc.pump(w);
   for (const auto& t : issued) {
     const auto r = svc.poll(c, t);
@@ -427,7 +435,11 @@ TEST(KvService, StopShedsAndCountsDrain) {
 // its operation's kind/arg/inv under the predicted slot BEFORE submit,
 // and the observer (possibly running on the OTHER body's thread) finds
 // them by handle. ControlledScheduler serializes the bodies, so the
-// shared pending table needs no further synchronization.
+// shared pending table needs no further synchronization. The observer
+// also counts completions per slot: a well-formed history has exactly
+// one response per invocation, and a request executed twice (e.g. popped
+// from its ring by two consumers) must fail the check even when the
+// duplicate happens to be linearizable on its own.
 // ---------------------------------------------------------------------
 struct PendingOp {
   OpKind kind = OpKind::kMapFind;
@@ -435,17 +447,19 @@ struct PendingOp {
   std::uint64_t inv = 0;
 };
 
-struct LinTrialShared {
+template <class SvcT>
+struct LinTrialSharedT {
   Sub sub;
-  Svc svc;
+  SvcT svc;
   HistoryRecorder rec{2};
-  std::vector<Svc::ClientCtx> clients;
-  std::vector<Svc::WorkerCtx> workers;
+  std::vector<typename SvcT::ClientCtx> clients;
+  std::vector<typename SvcT::WorkerCtx> workers;
   std::array<std::array<PendingOp, 8>, 2> pending{};
+  std::array<std::array<unsigned, 8>, 2> completions{};
   std::array<std::uint32_t, 2> next_slot{};
-  std::array<std::vector<Svc::Ticket>, 2> issued;
+  std::array<std::vector<typename SvcT::Ticket>, 2> issued;
 
-  explicit LinTrialShared(const Svc::Config& cfg) : svc(sub, cfg) {
+  explicit LinTrialSharedT(const typename SvcT::Config& cfg) : svc(sub, cfg) {
     clients.reserve(2);
     workers.reserve(2);
     for (int t = 0; t < 2; ++t) {
@@ -467,8 +481,16 @@ struct LinTrialShared {
     return [this](std::uint64_t handle, const svc::Response& r) {
       const unsigned sid = svc::handle_session(handle);
       const PendingOp& p = pending[sid][svc::handle_slot(handle)];
+      ++completions[sid][svc::handle_slot(handle)];
       rec.add(sid, sid, p.kind, p.arg, ret_of(p.kind, r), p.inv);
     };
+  }
+
+  // One worker pass, exactly as worker_main runs it: route the session
+  // rings (claim-guarded), then drain the shard queues.
+  unsigned worker_step(unsigned t) {
+    const unsigned moved = svc.route(workers[t], observer());
+    return moved + svc.pump(workers[t], observer());
   }
 
   void submit_op(unsigned t, OpKind kind, std::uint64_t key,
@@ -505,18 +527,26 @@ struct LinTrialShared {
   // consumes every ticket (required by the disconnect assertion), then
   // the merged history is checked.
   bool check() {
+    bool once = true;
     for (unsigned t = 0; t < 2; ++t) {
+      for (std::uint32_t slot = 0; slot < completions[t].size(); ++slot) {
+        const unsigned want = slot < next_slot[t] ? 1 : 0;
+        if (completions[t][slot] != want) once = false;
+      }
       for (const auto& ticket : issued[t]) {
         const auto r = svc.poll(clients[t], ticket);
         if (!r.has_value()) return false;  // drain failed to complete it
       }
     }
     LinearizabilityChecker<SvcSpec> checker;
-    return checker.check(rec.collect(), SvcSpec::State{});
+    return once && checker.check(rec.collect(), SvcSpec::State{});
   }
 };
 
-Svc::Config lin_config(bool use_rings) {
+using LinTrialShared = LinTrialSharedT<Svc>;
+
+template <class SvcT = Svc>
+typename SvcT::Config lin_config(bool use_rings) {
   return {.queues = 1,
           .queue_capacity = 16,
           .workers = 0,
@@ -613,6 +643,310 @@ TEST(PctSmoke, ServicePipeline) {
       << "non-linearizable pipeline history under schedule "
       << r.schedule_string();
   EXPECT_EQ(r.trials, opts.runs);
+}
+
+// ---------------------------------------------------------------------
+// Worker routing: no router thread — every worker pass try-claims each
+// session with a non-empty ring and moves it into the shard queues. Two
+// workers run the real worker step over two sessions; the routing pass
+// walks BOTH sessions, so each worker contends for the other's ring.
+// SkipRingClaim (a planted bug) drops the claim: two consumers on one
+// SPSC ring pop the same handle and the request executes twice, which
+// the exactly-once part of the history check must catch.
+// ---------------------------------------------------------------------
+using SvcNoClaim = svc::KvService<Sub, EpochReclaimer, 64, 64, true>;
+
+// `full_step` picks the body: the whole worker step (route + pump) for the
+// PCT explorer, or only its routing half for DFS, whose search cost grows
+// with everything a body does after the racy ring pop (the queue pops and
+// map operations the pump adds are explored in ExploreLinearizable).
+// Either way a final single-threaded worker drains whatever the bodies
+// left in check(), as a surviving worker of the service would, so every
+// request is executed and the history is complete.
+template <class SvcT>
+testing::ScheduleExplorer::Trial make_claim_trial(bool full_step) {
+  auto sh =
+      std::make_shared<LinTrialSharedT<SvcT>>(lin_config<SvcT>(true));
+  testing::ScheduleExplorer::Trial trial;
+  auto step = [sh, full_step](unsigned t) {
+    if (full_step) {
+      sh->worker_step(t);
+    } else {
+      sh->svc.route(sh->workers[t], sh->observer());
+    }
+  };
+  trial.bodies.push_back([sh, step] {
+    sh->submit_op(0, OpKind::kMapInsert, 0, 10);
+    step(0);
+  });
+  trial.bodies.push_back([sh, step] {
+    sh->submit_op(1, OpKind::kMapFind, 0, 0);
+    step(1);
+  });
+  trial.check = [sh] {
+    while (sh->worker_step(0) > 0) {
+    }
+    return sh->check();
+  };
+  return trial;
+}
+
+template <class SvcT>
+testing::ScheduleExplorer::Trial make_route_trial() {
+  return make_claim_trial<SvcT>(false);
+}
+
+template <class SvcT>
+testing::ScheduleExplorer::Trial make_step_trial() {
+  return make_claim_trial<SvcT>(true);
+}
+
+// Sleep-set DFS exhausts this trial in about 3.8k runs.
+TEST(KvService, ExploreRoutingClaimLinearizable) {
+  const testing::ExploreOptions opts{.max_trials = scaled_budget(4000),
+                                     .sleep_sets = true};
+  const auto r = testing::ScheduleExplorer::explore(make_route_trial<Svc>,
+                                                    opts);
+  EXPECT_FALSE(r.violation_found)
+      << "routing workers broke the pipeline under schedule "
+      << r.schedule_string();
+  EXPECT_GT(r.trials, 0u);
+}
+
+TEST(PctSmoke, RoutingClaim) {
+  const testing::PctOptions opts{.runs = scaled_budget(200),
+                                 .depth = 3,
+                                 .change_range = 96,
+                                 .seed = base_seed() + 29};
+  const auto r = testing::ScheduleExplorer::pct_explore(make_step_trial<Svc>,
+                                                        opts);
+  EXPECT_FALSE(r.violation_found)
+      << "routing workers broke the pipeline under schedule "
+      << r.schedule_string();
+  EXPECT_EQ(r.trials, opts.runs);
+}
+
+TEST(NegativeControl, SkipRingClaimFoundByDfs) {
+  const testing::ExploreOptions opts{.max_trials = 20000, .sleep_sets = true};
+  const auto r = testing::ScheduleExplorer::explore(
+      make_route_trial<SvcNoClaim>, opts);
+  ASSERT_TRUE(r.violation_found)
+      << "DFS lost the planted two-consumer ring (trials=" << r.trials
+      << ", exhausted=" << r.exhausted << ")";
+  EXPECT_EQ(r.schedule_string().rfind("ms1:", 0), 0u);
+  const auto replayed = testing::Schedule::parse(r.schedule_string());
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_FALSE(testing::ScheduleExplorer::replay(
+      make_route_trial<SvcNoClaim>, *replayed))
+      << "violating schedule " << r.schedule_string()
+      << " did not replay";
+}
+
+TEST(NegativeControl, SkipRingClaimFoundByPct) {
+  const testing::PctOptions opts{.runs = 2000,
+                                 .depth = 3,
+                                 .change_range = 96,
+                                 .seed = base_seed() + 31};
+  const auto r = testing::ScheduleExplorer::pct_explore(
+      make_step_trial<SvcNoClaim>, opts);
+  ASSERT_TRUE(r.violation_found)
+      << "PCT lost the planted two-consumer ring (runs=" << r.trials << ")";
+  const auto replayed = testing::Schedule::parse(r.schedule_string());
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_FALSE(testing::ScheduleExplorer::replay(
+      make_step_trial<SvcNoClaim>, *replayed))
+      << "violating schedule " << r.schedule_string()
+      << " did not replay";
+}
+
+// ---------------------------------------------------------------------
+// The dispatch queue cannot freeze. Over ReclaimedMsQueue<S,
+// EpochReclaimer> a consumer parked inside a dequeue pins the epoch, so
+// the dummies its peer retires sit in limbo until the pool is gone; and
+// since EpochReclaimer frees only inside retire(), an emptied queue never
+// recovers. MsQueue puts a dequeued dummy back on its free list before
+// dequeue returns, so the pool runs out only when capacity-1 handles
+// really are queued.
+//
+// Script: consumer A (thread 0) takes the first two decisions, which
+// parks it inside dequeue() past its first shared access (on the
+// reclaimed queue, with its epoch announced). The producer (1) and
+// consumer B (2) then alternate and A runs only once neither can: the
+// producer cycles `handles` handles through the queue with at most 2
+// queued, and B dequeues them in order.
+// ---------------------------------------------------------------------
+struct FreezeRun {
+  unsigned failed_enqueues = 0;
+  std::uint64_t consumed = 0;
+  bool fifo = true;
+  bool a_parked_throughout = false;
+};
+
+template <class Queue, class MakeCtx>
+FreezeRun run_parked_dequeuer(Queue& q, MakeCtx make_ctx,
+                              std::uint64_t handles) {
+  FreezeRun run;
+  std::atomic<bool> a_done{false};
+  std::atomic<bool> producer_done{false};
+  std::atomic<std::uint64_t> produced{0};
+  std::atomic<std::uint64_t> consumed{0};
+  std::vector<std::function<void()>> bodies;
+  bodies.push_back([&] {
+    auto ctx = make_ctx();
+    (void)q.dequeue(ctx);
+    a_done.store(true);
+  });
+  bodies.push_back([&] {
+    auto ctx = make_ctx();
+    for (std::uint64_t i = 0; i < handles; ++i) {
+      while (produced.load() - consumed.load() >= 2) MOIR_YIELD_POINT();
+      if (!q.enqueue(ctx, i)) {
+        ++run.failed_enqueues;
+        break;
+      }
+      produced.fetch_add(1);
+    }
+    run.a_parked_throughout = !a_done.load();
+    producer_done.store(true);
+  });
+  bodies.push_back([&] {
+    auto ctx = make_ctx();
+    for (;;) {
+      if (const auto v = q.dequeue(ctx)) {
+        if (*v != consumed.load()) run.fifo = false;
+        consumed.fetch_add(1);
+      } else if (producer_done.load() && consumed.load() == produced.load()) {
+        break;
+      } else {
+        MOIR_YIELD_POINT();
+      }
+    }
+  });
+  unsigned last = 0;
+  testing::ControlledScheduler::run(
+      std::move(bodies),
+      [&](const std::vector<testing::RunnableThread>& runnable,
+          std::size_t d) {
+        unsigned pick = runnable.front().id;  // A, if nothing else can run
+        for (const auto& r : runnable) {
+          if (d < 2 && r.id == 0) return 0u;
+          if (r.id == 0) continue;
+          pick = r.id;
+          if (r.id != last) break;
+        }
+        last = pick;
+        return pick;
+      });
+  run.consumed = consumed.load();
+  return run;
+}
+
+TEST(DispatchQueueFreeze, ParkedDequeuerCannotExhaustThePool) {
+  Sub sub;
+  constexpr std::uint32_t kCapacity = 8;
+  MsQueue<Sub> q(sub, kCapacity);
+  const FreezeRun run =
+      run_parked_dequeuer(q, [&] { return sub.make_ctx(); }, 3 * kCapacity);
+  EXPECT_TRUE(run.a_parked_throughout);
+  EXPECT_EQ(run.failed_enqueues, 0u)
+      << "in-place recycling ran out of nodes with 2 handles queued";
+  EXPECT_EQ(run.consumed, 3 * kCapacity);
+  EXPECT_TRUE(run.fifo);
+}
+
+// The removed defect, kept as a negative control: the same script over
+// the epoch-reclaimed queue exhausts its pool long before 3x capacity.
+TEST(NegativeControl, ReclaimedQueueFreezesUnderParkedDequeuer) {
+  Sub sub;
+  constexpr std::uint32_t kCapacity = 8;
+  ReclaimedMsQueue<Sub, EpochReclaimer> q(sub, 3, kCapacity);
+  const FreezeRun run =
+      run_parked_dequeuer(q, [&] { return q.make_ctx(); }, 3 * kCapacity);
+  EXPECT_TRUE(run.a_parked_throughout);
+  EXPECT_GT(run.failed_enqueues, 0u)
+      << "the parked dequeuer no longer pins the epoch-reclaimed pool";
+  EXPECT_LT(run.consumed, std::uint64_t{kCapacity});
+}
+
+// The stress form: one 1024-node queue, one producer with at most 64
+// handles in flight, two consumers popping batches of 16. The
+// epoch-reclaimed queue froze after 0.16-1.2 M operations in this shape;
+// the dispatcher must run 24 M (12 M enqueues, 12 M dequeues) without a
+// failed enqueue. Sanitizer builds run a twentieth of it.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr std::uint64_t kStressHandles = 12'000'000 / 20;
+#else
+constexpr std::uint64_t kStressHandles = 12'000'000;
+#endif
+
+TEST(DispatcherStress, TwoBatchConsumersNeverExhaustThePool) {
+  Sub sub;
+  svc::Dispatcher<Sub> disp(sub, 3, 1, 1024);
+  constexpr std::uint64_t kInFlight = 64;
+  constexpr unsigned kBatch = 16;
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> received{0};
+  std::atomic<bool> producer_done{false};
+  std::uint64_t failed = 0;
+  std::array<std::uint64_t, 2> sums{};
+  std::array<std::uint64_t, 2> counts{};
+  std::array<bool, 2> ordered{true, true};
+
+  std::thread producer([&] {
+    auto ctx = disp.make_ctx();
+    SpinWait sw;
+    for (std::uint64_t i = 0; i < kStressHandles; ++i) {
+      while (i - received.load(std::memory_order_acquire) >= kInFlight) {
+        sw.pause();
+      }
+      sw.reset();
+      if (!disp.enqueue(ctx, i, i)) {
+        ++failed;
+        break;
+      }
+      sent.store(i + 1, std::memory_order_release);
+    }
+    producer_done.store(true, std::memory_order_release);
+  });
+  auto consumer = [&](unsigned c) {
+    auto ctx = disp.make_ctx();
+    std::uint64_t buf[kBatch];
+    std::uint64_t next_min = 0;
+    SpinWait sw;
+    for (;;) {
+      const unsigned k = disp.pop_batch(ctx, 0, buf, kBatch);
+      if (k == 0) {
+        if (producer_done.load(std::memory_order_acquire) &&
+            received.load(std::memory_order_acquire) ==
+                sent.load(std::memory_order_acquire)) {
+          break;
+        }
+        sw.pause();
+        continue;
+      }
+      sw.reset();
+      for (unsigned j = 0; j < k; ++j) {
+        // One producer: each consumer sees a subsequence of FIFO order.
+        if (buf[j] < next_min) ordered[c] = false;
+        next_min = buf[j] + 1;
+        sums[c] += buf[j];
+      }
+      counts[c] += k;
+      received.fetch_add(k, std::memory_order_acq_rel);
+    }
+  };
+  std::thread c0(consumer, 0);
+  std::thread c1(consumer, 1);
+  producer.join();
+  c0.join();
+  c1.join();
+
+  EXPECT_EQ(failed, 0u) << "enqueue failed after "
+                        << sent.load() << " handles";
+  EXPECT_EQ(counts[0] + counts[1], kStressHandles);
+  EXPECT_EQ(sums[0] + sums[1], kStressHandles * (kStressHandles - 1) / 2);
+  EXPECT_TRUE(ordered[0] && ordered[1]);
+  EXPECT_TRUE(disp.all_empty());
 }
 
 }  // namespace

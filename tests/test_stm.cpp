@@ -1,13 +1,17 @@
-// Static STM tests: sequential semantics, conflict handling, helping, and
-// the bank-transfer conservation stress the STM literature uses.
+// Static STM tests: sequential semantics, conflict handling, helping, the
+// bank-transfer conservation stress the STM literature uses, and the
+// prepare step's ordering against straggling helpers.
 #include "nonblocking/stm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <vector>
 
+#include "platform/yield_point.hpp"
+#include "sim/controlled_scheduler.hpp"
 #include "util/rng.hpp"
 #include "util/thread_utils.hpp"
 
@@ -168,6 +172,101 @@ TEST(StmStress, OverlappingRotationsPreserveMultiset) {
   std::vector<std::uint64_t> expect;
   for (std::size_t i = 0; i < kCells; ++i) expect.push_back(100 + i);
   EXPECT_EQ(values, expect);
+}
+
+// ---------------------------------------------------------------------
+// transact()'s prepare step runs after the helpers of the caller's
+// previous incarnation have drained. Script: owner O locks the cell in
+// its first transaction; helper H sees the lock, registers, and parks
+// inside run_phases; O finishes that transaction and starts its second,
+// which spins on the drain until H runs. H then evaluates the FIRST
+// transaction's op, which reads the state behind `arg`, and must still
+// see the first transaction's value. Writing that state before calling
+// transact() instead — what Mcas did with its per-process spec — hands H
+// the second transaction's value: outside the scheduler, a data race.
+// ---------------------------------------------------------------------
+struct ArgProbe {
+  std::atomic<std::uint64_t> tag{0};
+  std::vector<std::uint64_t> seen_by_helper;
+};
+
+thread_local bool tl_is_helper = false;
+
+void tx_probe(const std::uint64_t* olds, std::uint64_t* news, unsigned n,
+              std::uint64_t arg) {
+  auto* probe = reinterpret_cast<ArgProbe*>(arg);
+  if (tl_is_helper) probe->seen_by_helper.push_back(probe->tag.load());
+  for (unsigned i = 0; i < n; ++i) news[i] = olds[i] + 1;
+}
+
+// Returns the tags the helper's op calls read. `in_prepare` picks where
+// the owner writes its second transaction's tag.
+std::vector<std::uint64_t> straggling_helper_reads(bool in_prepare) {
+  Stm stm(2, 1);
+  ArgProbe probe;
+  std::atomic<bool> helper_in_help{false};
+  const std::uint32_t addrs[] = {0};
+  const auto arg = reinterpret_cast<std::uint64_t>(&probe);
+  std::vector<std::function<void()>> bodies;
+  bodies.push_back([&] {
+    auto ctx = stm.make_ctx();
+    stm.transact(ctx, addrs, tx_probe, arg, [&] { probe.tag.store(1); });
+    if (in_prepare) {
+      stm.transact(ctx, addrs, tx_probe, arg, [&] { probe.tag.store(2); });
+    } else {
+      probe.tag.store(2);
+      stm.transact(ctx, addrs, tx_probe, arg);
+    }
+  });
+  bodies.push_back([&] {
+    tl_is_helper = true;
+    for (;;) {
+      const Stm::CellView view = stm.peek(0);
+      if (view.locked) {
+        helper_in_help.store(true);
+        stm.help_locked(view);
+        return;
+      }
+      MOIR_YIELD_POINT();
+    }
+  });
+  // Phases: 0 = O until the cell is locked; 1 = H until it is inside
+  // help; 2 = O for a while (it finishes, starts again, and spins on the
+  // drain); 3 = H to completion, then O.
+  constexpr std::size_t kOwnerSteps = 2000;
+  unsigned phase = 0;
+  std::size_t owner_steps = 0;
+  testing::ControlledScheduler::run(
+      std::move(bodies),
+      [&](const std::vector<testing::RunnableThread>& runnable,
+          std::size_t) {
+        bool owner = false;
+        bool helper = false;
+        for (const auto& r : runnable) (r.id == 0 ? owner : helper) = true;
+        if (phase == 0 && stm.any_cell_locked()) phase = 1;
+        if (phase == 1 && helper_in_help.load()) phase = 2;
+        if (phase == 2 && (++owner_steps > kOwnerSteps || !owner)) phase = 3;
+        const bool want_owner = phase == 0 || phase == 2;
+        return (want_owner ? owner : !helper) ? 0u : 1u;
+      });
+  return probe.seen_by_helper;
+}
+
+TEST(Stm, PrepareRunsAfterStragglingHelpersDrain) {
+  const auto seen = straggling_helper_reads(/*in_prepare=*/true);
+  ASSERT_FALSE(seen.empty()) << "the script never ran the helper's op";
+  for (const std::uint64_t tag : seen) {
+    EXPECT_EQ(tag, 1u) << "a helper of the first transaction read state "
+                          "the second one prepared";
+  }
+}
+
+// The defect Mcas had, kept as a negative control: the same script with
+// the state written before transact() lets the helper read it.
+TEST(NegativeControl, StateWrittenBeforeTransactReachesStragglingHelper) {
+  const auto seen = straggling_helper_reads(/*in_prepare=*/false);
+  ASSERT_FALSE(seen.empty()) << "the script never ran the helper's op";
+  EXPECT_EQ(seen.back(), 2u);
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ TEST(TortureMixed, StackQueueCounterShareOneBoundedDomain) {
   BoundedLlsc<> s(kThreads + 2, 3);  // queue needs k >= 3
   auto init_ctx = s.make_ctx();
   TreiberStack<BoundedLlsc<>> stack(s, 64, init_ctx);
-  MsQueue<BoundedLlsc<>> queue(s, 64, init_ctx);
+  MsQueue<BoundedLlsc<>> queue(s, 64);
   LlscCounter<BoundedLlsc<>> counter(s, 0);
 
   std::atomic<std::int64_t> stack_net{0}, queue_net{0};
